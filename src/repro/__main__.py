@@ -186,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "boundaries; re-running the same command "
                               "after a kill (even SIGKILL) resumes "
                               "from the last snapshot and produces "
-                              "byte-identical metrics (homogeneous "
-                              "fleets, in-process execution only)")
+                              "byte-identical metrics (in-process "
+                              "execution only)")
     p_fleet.add_argument("--metrics-out", default=None, metavar="PATH",
                          help="pickle the merged FleetMetrics to PATH "
                               "(exact-identity comparisons across "
@@ -559,11 +559,18 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_replay(parser, args)
 
     if args.command == "worker":
-        from .sim.distributed import FaultSpec, WorkerServer, parse_address
+        from .resilience.faults import FaultPlan, FaultRule
+        from .sim.distributed import WorkerServer, parse_address
 
         host, port = parse_address(args.listen)
         fault = (
-            FaultSpec(after=args.die_after, mode="exit")
+            FaultPlan(
+                rules=(
+                    FaultRule(
+                        scope="worker", mode="exit", after=args.die_after
+                    ),
+                )
+            )
             if args.die_after is not None
             else None
         )
@@ -634,11 +641,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"--max-retries must be >= 0, got {args.max_retries}"
             )
         if args.checkpoint is not None:
-            if args.population is not None:
-                parser.error(
-                    "--checkpoint supports homogeneous fleets only, "
-                    "not --population mixes"
-                )
             if args.hosts is not None or args.workers is not None:
                 parser.error(
                     "--checkpoint runs shards serially in-process "
@@ -673,20 +675,8 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         if args.checkpoint is not None:
             from .resilience import run_fleet_checkpointed
-            from .sim import FleetSpec
 
-            # the homogeneous spec directly (not the population
-            # expansion): checkpointed runs snapshot per-stream fading
-            # state, which the homogeneous tiled path owns
-            spec = FleetSpec(
-                n_ues=args.ues,
-                n_walks=walks,
-                base_seed=args.seed,
-                speeds_kmh=(
-                    tuple(args.speeds) if args.speeds else PAPER_SPEEDS_KMH
-                ),
-                params=SimulationParameters(),
-            )
+            spec = scenario.to_spec(SimulationParameters())
             if args.backend is not None:
                 spec = spec.with_backend(args.backend)
             if args.flc_backend is not None:

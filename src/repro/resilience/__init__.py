@@ -29,7 +29,6 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     FaultRule,
-    FaultSpec,
     make_clock,
     misbehaving_client,
     silence_filter,
@@ -42,7 +41,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "FaultSpec",
     "InjectedCrash",
     "SimulatedCrash",
     "SupervisedDecisionService",

@@ -1,19 +1,18 @@
 """Crash-safe checkpoint/resume for streaming fleet runs.
 
-:func:`run_fleet_checkpointed` drives a homogeneous
-:class:`~repro.sim.fleet.FleetSpec` shard by shard through the
-epoch-tiled streaming engine, snapshotting resumable state into a
-checkpoint file at tile boundaries.  A run killed at *any* point — even
-``SIGKILL`` between checkpoints — resumes from the last snapshot and
-finishes **byte-identical** to the uninterrupted run, because every
-piece of state the epoch loop carries is captured exactly:
+:func:`run_fleet_checkpointed` drives a
+:class:`~repro.sim.fleet.FleetSpec` — homogeneous or a heterogeneous
+population — shard by shard through the epoch-tiled streaming engine,
+snapshotting resumable state into a checkpoint file at tile boundaries.
+A run killed at *any* point — even ``SIGKILL`` between checkpoints —
+resumes from the last snapshot and finishes **byte-identical** to the
+uninterrupted run, because every piece of state the epoch loop carries
+is captured exactly:
 
-* the :class:`~repro.sim.metrics.FleetMetricsAccumulator` per-UE
-  reduction arrays (integer counters, float partial sums — restored
-  bit-for-bit, so the remaining epochs extend the same accumulation
-  sequence);
-* the drive loop's per-UE serving cell, CSSP history window, and
-  history length;
+* the shard's :class:`~repro.sim.kernel.UEStateBlock` — per-UE serving
+  cell, CSSP history window, local epoch, policy id and metric counters
+  (integer counters and float partial sums restored bit-for-bit, so the
+  remaining epochs extend the same accumulation sequence);
 * each :class:`~repro.radio.fading.ShadowFadingStream`'s generator bit
   state and AR(1) boundary row, so resumed fading continues the exact
   draw sequence;
@@ -24,16 +23,13 @@ Checkpoint file format (``<dir>/fleet.ckpt``, an atomically replaced
 pickle)::
 
     {
-      "version":     1,
+      "version":     2,
       "fingerprint": sha256 of (spec, n_shards, window, outage, tile),
       "n_shards":    int,
       "completed":   {shard_index: FleetMetrics, ...},
       "in_progress": None | {"shard": int, "snapshot": {
                        "next_epoch":   int   (tile boundary),
-                       "serving":      (n,) intp,
-                       "hist":         (n, lag) float,
-                       "hist_len":     (n,) intp,
-                       "consumer":     FleetMetricsAccumulator.state_dict(),
+                       "block":        UEStateBlock.state_dict(),
                        "fading_state": None | [ShadowFadingStream.state_dict()],
                      }},
       "result":      None | FleetMetrics (set once merged),
@@ -67,7 +63,6 @@ from ..sim.metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
     FleetMetrics,
-    FleetMetricsAccumulator,
     merge_fleet_metrics,
 )
 from .faults import FaultPlan
@@ -82,7 +77,7 @@ __all__ = [
     "run_fleet_checkpointed",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CHECKPOINT_FILENAME = "fleet.ckpt"
 
 
@@ -181,11 +176,6 @@ def run_fleet_checkpointed(
     crash rules kill the run deterministically between writes (tests,
     the X20 recovery bench).
     """
-    if spec.population is not None:
-        raise ValueError(
-            "checkpointed runs support homogeneous fleet specs only, "
-            "not populations"
-        )
     if checkpoint_every_tiles < 1:
         raise ValueError(
             f"checkpoint_every_tiles must be >= 1, "
@@ -228,7 +218,6 @@ def run_fleet_checkpointed(
     injector = (
         fault_plan.injector("checkpoint") if fault_plan is not None else None
     )
-    system = spec.make_system()
 
     for idx, shard in enumerate(shards):
         if idx in state["completed"]:
@@ -239,11 +228,10 @@ def run_fleet_checkpointed(
             resume = in_progress["snapshot"]
 
         stream = shard.measure_tiled(tile_k)
-        sim = BatchSimulator(system, speed_kmh=shard.ue_speeds())
-        acc = FleetMetricsAccumulator(window, outage)
+        block = shard.state_block(window, outage)
         boundaries = 0
 
-        def on_tile_end(next_epoch, serving, hist, hist_len):
+        def on_tile_end(next_epoch):
             nonlocal boundaries
             boundaries += 1
             if boundaries % checkpoint_every_tiles != 0:
@@ -262,17 +250,16 @@ def run_fleet_checkpointed(
                 "shard": idx,
                 "snapshot": {
                     "next_epoch": int(next_epoch),
-                    "serving": serving.copy(),
-                    "hist": hist.copy(),
-                    "hist_len": hist_len.copy(),
-                    "consumer": acc.state_dict(),
+                    "block": block.state_dict(),
                     "fading_state": stream.fading_state(),
                 },
             }
             _atomic_write(path, state)
 
-        metrics = sim.drive_metrics(
-            stream, acc, resume=resume, on_tile_end=on_tile_end
+        metrics = shard.label(
+            BatchSimulator(block.systems[0]).run_metrics(
+                stream, block=block, resume=resume, on_tile_end=on_tile_end
+            )
         )
         state["completed"][idx] = metrics
         state["in_progress"] = None

@@ -26,7 +26,6 @@ from .metrics import (
     DEFAULT_WINDOW_KM,
     CohortMetrics,
     FleetMetrics,
-    FleetMetricsAccumulator,
     HandoverMetrics,
     compute_fleet_metrics,
     compute_metrics,
@@ -54,7 +53,6 @@ from .fleet import (
 from .distributed import (
     DistributedExecutionError,
     DistributedExecutor,
-    FaultSpec,
     WorkerServer,
     local_worker_pool,
     parse_hosts,
@@ -141,10 +139,8 @@ __all__ = [
     "DistributedExecutor",
     "DistributedExecutionError",
     "WorkerServer",
-    "FaultSpec",
     "local_worker_pool",
     "parse_hosts",
-    "FleetMetricsAccumulator",
     "merge_fleet_metrics",
     "CohortMetrics",
     "DEFAULT_OUTAGE_DBW",

@@ -1,11 +1,17 @@
 """The vectorised multi-UE batch simulation engine.
 
 :class:`BatchSimulator` advances N UEs in lockstep over a
-:class:`~repro.sim.measurement.BatchMeasurementSeries`: per epoch it
-applies the full POTLC → FLC → PRTLC pipeline of
-:class:`~repro.core.system.FuzzyHandoverSystem` *across the whole
-fleet* — masked NumPy stage gates, one batched FLC call for every UE
-that reaches the controller, vectorised serving-cell bookkeeping.
+:class:`~repro.sim.measurement.BatchMeasurementSeries` or an epoch-tiled
+:class:`~repro.sim.measurement.TiledBatchMeasurement`.  Each epoch is
+one call of the package's single decision kernel,
+:func:`repro.sim.kernel.step`, over every UE still inside its walk: the
+full POTLC → FLC → PRTLC pipeline of
+:class:`~repro.core.system.FuzzyHandoverSystem` as masked NumPy stage
+gates, one guard-banded FLC call per handover policy, vectorised
+serving-cell bookkeeping and streaming metric counters, all held in one
+:class:`~repro.sim.kernel.UEStateBlock`.  The streaming service and
+checkpoint resume run the same kernel on the same block, which is what
+makes them byte-identical to this engine.
 
 The per-UE semantics are exactly the scalar
 :class:`~repro.sim.engine.Simulator` driving a fresh
@@ -16,28 +22,35 @@ target-cell argmax, same CSSP-lag history window.  The equivalence test
 suite pins this step-for-step; it is what lets the fleet path replace N
 scalar runs wholesale.
 
-Results come back as a :class:`BatchSimulationResult` holding the
-fleet's logs as arrays; :meth:`BatchSimulationResult.ue_result`
-materialises any single UE as a scalar-compatible
-:class:`~repro.sim.engine.SimulationResult` on demand.
+:meth:`BatchSimulator.run` keeps the fleet's logs as arrays in a
+:class:`BatchSimulationResult`, whose
+:meth:`~BatchSimulationResult.ue_result` materialises any single UE as a
+scalar-compatible :class:`~repro.sim.engine.SimulationResult`;
+:meth:`BatchSimulator.run_metrics` keeps only the counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
 from ..core.inputs import HandoverInputs
 from ..core.system import Decision, FuzzyHandoverSystem, Stage
 from ..geometry.layout import CellLayout
-from ..radio.fading import speed_penalty_db
 from .engine import HandoverEvent, SimulationResult
+from .kernel import EpochDecisions, Slots, UEStateBlock, step
 from .measurement import (
     BatchMeasurementSeries,
     MeasurementTile,
     TiledBatchMeasurement,
+)
+from .metrics import (
+    DEFAULT_OUTAGE_DBW,
+    DEFAULT_WINDOW_KM,
+    FleetMetrics,
+    compute_fleet_metrics,
 )
 
 __all__ = ["BatchSimulator", "BatchSimulationResult"]
@@ -63,7 +76,6 @@ def _measurement_tiles(source: MeasurementSource) -> Iterator[MeasurementTile]:
         )
     )
 
-Cell = tuple[int, int]
 
 # Stage codes of the (n_ues, n_epochs) stage log; -1 marks padded epochs.
 _STAGE_CODES: tuple[str, ...] = (
@@ -77,15 +89,6 @@ _STAGE_CODES: tuple[str, ...] = (
 _WARMUP, _NO_NEIGHBOR, _POTLC_PASS, _FLC_REJECT, _PRTLC_REJECT, _HANDOVER = (
     range(6)
 )
-
-
-def _neighbor_table(
-    layout: CellLayout,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded adjacency ``(indices, mask, degree)`` of the layout —
-    delegates to the cached :meth:`CellLayout.neighbor_table`, so
-    repeated runs over one layout never rebuild it."""
-    return layout.neighbor_table()
 
 
 @dataclass(frozen=True)
@@ -237,12 +240,6 @@ class BatchSimulationResult:
     ):
         """Aggregate fleet quality metrics (see
         :func:`repro.sim.metrics.compute_fleet_metrics`)."""
-        from .metrics import (
-            DEFAULT_OUTAGE_DBW,
-            DEFAULT_WINDOW_KM,
-            compute_fleet_metrics,
-        )
-
         return compute_fleet_metrics(
             self,
             DEFAULT_WINDOW_KM if window_km is None else window_km,
@@ -250,109 +247,144 @@ class BatchSimulationResult:
         )
 
 
-class _FleetLogRecorder:
-    """The full-log consumer: materialises every ``(n_ues, n_epochs)``
-    array of a :class:`BatchSimulationResult`.
+class _FleetLog:
+    """Materialises the ``(n_ues, n_epochs)`` arrays of a
+    :class:`BatchSimulationResult` from the kernel's per-epoch
+    :class:`~repro.sim.kernel.EpochDecisions`."""
 
-    Consumers receive the epoch loop's masked slices through ``begin`` /
-    ``on_stage_masks`` / ``on_flc`` / ``on_handover`` / ``end_epoch`` /
-    ``finalize`` — the streaming
-    :class:`~repro.sim.metrics.FleetMetricsAccumulator` implements the
-    same interface with O(n_ues) counters instead of full histories.
-
-    The ``(n_ues,)`` mask/index arrays handed to the callbacks are the
-    epoch loop's preallocated scratch buffers, rewritten every epoch:
-    consumers must consume them during the call (index with them,
-    accumulate from them) and never retain a reference across epochs.
-    """
-
-    def begin(self, source: MeasurementSource, speeds: np.ndarray) -> None:
+    def __init__(self, source: BatchMeasurementSeries, block: UEStateBlock):
         n, t_max = source.n_ues, source.max_epochs
-        self._series = source
-        self._speeds = speeds
-        self._serving_hist = np.full((n, t_max), -1, dtype=np.intp)
-        self._stages = np.full((n, t_max), -1, dtype=np.int8)
-        self._outputs = np.full((n, t_max), np.nan)
-        self._cssp = np.full((n, t_max), np.nan)
-        self._ssn = np.full((n, t_max), np.nan)
-        self._dmb = np.full((n, t_max), np.nan)
-        self._ev_ue: list[np.ndarray] = []
-        self._ev_step: list[np.ndarray] = []
-        self._ev_src: list[np.ndarray] = []
-        self._ev_tgt: list[np.ndarray] = []
-        self._ev_out: list[np.ndarray] = []
+        self._block = block
+        self._ues = np.arange(n)
+        self.serving = np.full((n, t_max), -1, dtype=np.intp)
+        self.stages = np.full((n, t_max), -1, dtype=np.int8)
+        self.outputs = np.full((n, t_max), np.nan)
+        self.cssp = np.full((n, t_max), np.nan)
+        self.ssn = np.full((n, t_max), np.nan)
+        self.dmb = np.full((n, t_max), np.nan)
+        # per-handover-epoch parts of the flat event arrays: UE, step,
+        # source, target, output
+        self.events: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
 
-    def on_stage_masks(
-        self, k: int, warm: np.ndarray, no_nbr: np.ndarray, gated: np.ndarray
-    ) -> None:
-        self._stages[warm, k] = _WARMUP
-        self._stages[no_nbr, k] = _NO_NEIGHBOR
-        self._stages[gated, k] = _POTLC_PASS
+    def record(self, k: int, slots: Slots, d: EpochDecisions) -> None:
+        ues = self._ues[slots]
+        stages = self.stages[:, k]
+        stages[ues[d.warm]] = _WARMUP
+        stages[ues[d.no_nbr]] = _NO_NEIGHBOR
+        stages[ues[d.gated]] = _POTLC_PASS
+        flc = ues[d.flc]
+        self.outputs[flc, k] = d.out
+        self.cssp[flc, k] = d.cssp
+        self.ssn[flc, k] = d.ssn
+        self.dmb[flc, k] = d.dmb
+        stages[flc[d.rej_flc]] = _FLC_REJECT
+        stages[flc[d.rej_prtlc]] = _PRTLC_REJECT
+        if d.handed.any():
+            ho = flc[d.handed]
+            stages[ho] = _HANDOVER
+            for parts, values in zip(
+                self.events,
+                (
+                    ho,
+                    np.full(ho.shape[0], k, dtype=np.intp),
+                    d.sources,
+                    d.targets,
+                    d.out[d.handed],
+                ),
+            ):
+                parts.append(values)
+        self.serving[ues, k] = self._block.serving[ues]
 
-    def on_flc(
-        self,
-        k: int,
-        idx: np.ndarray,
-        cssp: np.ndarray,
-        ssn: np.ndarray,
-        dmb: np.ndarray,
-        out: np.ndarray,
-        rej_flc: np.ndarray,
-        rej_prtlc: np.ndarray,
-    ) -> None:
-        self._outputs[idx, k] = out
-        self._cssp[idx, k] = cssp
-        self._ssn[idx, k] = ssn
-        self._dmb[idx, k] = dmb
-        self._stages[idx[rej_flc], k] = _FLC_REJECT
-        self._stages[idx[rej_prtlc], k] = _PRTLC_REJECT
-
-    def on_handover(
-        self,
-        k: int,
-        ues: np.ndarray,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        outputs: np.ndarray,
-        distances: np.ndarray,
-    ) -> None:
-        self._stages[ues, k] = _HANDOVER
-        self._ev_ue.append(ues)
-        self._ev_step.append(np.full(ues.shape[0], k, dtype=np.intp))
-        self._ev_src.append(sources)
-        self._ev_tgt.append(targets)
-        self._ev_out.append(outputs)
-
-    def end_epoch(
-        self,
-        k: int,
-        active: np.ndarray,
-        serving: np.ndarray,
-        power_k: np.ndarray,
-    ) -> None:
-        self._serving_hist[active, k] = serving[active]
-
-    def finalize(self) -> BatchSimulationResult:
-        def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
-            if parts:
-                return np.concatenate(parts)
-            return np.zeros(0, dtype=dtype)
-
-        return BatchSimulationResult(
-            series=self._series,
-            speeds_kmh=self._speeds,
-            serving_history=self._serving_hist,
-            stages=self._stages,
-            outputs=self._outputs,
-            cssp_db=self._cssp,
-            ssn_db=self._ssn,
-            dmb=self._dmb,
-            event_ue=_cat(self._ev_ue, np.intp),
-            event_step=_cat(self._ev_step, np.intp),
-            event_source=_cat(self._ev_src, np.intp),
-            event_target=_cat(self._ev_tgt, np.intp),
-            event_output=_cat(self._ev_out, float),
+    def result(
+        self, source: BatchMeasurementSeries, speeds: np.ndarray
+    ) -> BatchSimulationResult:
+        ue, step_, src, tgt, out = (
+            np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+            for parts, dtype in zip(self.events, (np.intp,) * 4 + (float,))
         )
+        return BatchSimulationResult(
+            series=source,
+            speeds_kmh=speeds,
+            serving_history=self.serving,
+            stages=self.stages,
+            outputs=self.outputs,
+            cssp_db=self.cssp,
+            ssn_db=self.ssn,
+            dmb=self.dmb,
+            event_ue=ue,
+            event_step=step_,
+            event_source=src,
+            event_target=tgt,
+            event_output=out,
+        )
+
+
+def _drive(
+    block: UEStateBlock,
+    source: MeasurementSource,
+    *,
+    resume: Optional[dict] = None,
+    on_tile_end: Optional[Callable[[int], None]] = None,
+    on_epoch: Optional[Callable[[int, Slots, EpochDecisions], None]] = None,
+) -> UEStateBlock:
+    """Step every UE of ``source`` through its epochs with the kernel.
+
+    Slot ``i`` of ``block`` is UE ``i`` of the source; each epoch steps
+    the UEs still inside their walk (all of them, as one contiguous
+    slice, until the shortest walk ends).  Every UE starts at epoch 0,
+    so a UE's local epoch is the global epoch ``k``.  The loop walks the
+    source's tiles (a materialised series is one full-width tile), so
+    the per-UE state flows across tile boundaries and the streamed path
+    is bit-identical to the materialised one.
+
+    ``resume`` restarts a tiled source from a tile boundary: a snapshot
+    dict with ``next_epoch``, the block's ``state_dict`` under
+    ``"block"`` and the stream's ``fading_state``.  ``on_tile_end``
+    receives the next tile-boundary epoch after every tile — the
+    checkpoint hook.
+    """
+    n, t_max = source.n_ues, source.max_epochs
+    if t_max == 0:
+        raise ValueError("cannot simulate an empty measurement series")
+    if block.n != n:
+        raise ValueError(f"{n} UEs but the state block has {block.n} slots")
+    if resume is not None:
+        if not isinstance(source, TiledBatchMeasurement):
+            raise TypeError(
+                "resume requires a TiledBatchMeasurement (checkpoints "
+                "are taken at tile boundaries)"
+            )
+        block.load_state_dict(resume["block"])
+        tiles = source.tiles(
+            start_epoch=int(resume["next_epoch"]),
+            fading_state=resume.get("fading_state"),
+        )
+    else:
+        tiles = _measurement_tiles(source)
+
+    lengths = source.lengths
+    everyone = slice(0, n)
+    all_active = int(lengths.min())
+    for tile in tiles:
+        for j in range(tile.n_epochs):
+            k = tile.start + j
+            slots: Slots = everyone
+            if k >= all_active:
+                slots = np.nonzero(k < lengths)[0]
+                if slots.shape[0] == 0:
+                    continue
+            decisions = step(
+                block,
+                slots,
+                tile.power_dbw[slots, j],
+                tile.positions_km[slots, j],
+                tile.distance_km[slots, j],
+            )
+            if on_epoch is not None:
+                on_epoch(k, slots, decisions)
+        if on_tile_end is not None:
+            on_tile_end(tile.stop)
+    return block
 
 
 class BatchSimulator:
@@ -364,8 +396,9 @@ class BatchSimulator:
         The fuzzy handover system whose configuration (threshold, POTLC
         gate, PRTLC switch, CSSP lag, cell radius) and FLC are applied
         per UE; defaults to the paper configuration.  The system object
-        itself is never mutated — all per-UE state lives in the batch.
-        (Baselines and measurement-filter wrappers are scalar-only; use
+        itself is never mutated — all per-UE state lives in the
+        :class:`~repro.sim.kernel.UEStateBlock`.  (Baselines and
+        measurement-filter wrappers are scalar-only; use
         :class:`~repro.sim.engine.Simulator` for those.)
     speed_kmh:
         MS speed — a scalar for a homogeneous fleet or an ``(n_ues,)``
@@ -379,7 +412,7 @@ class BatchSimulator:
         self,
         system: Optional[FuzzyHandoverSystem] = None,
         speed_kmh: Union[float, np.ndarray] = 0.0,
-        initial_cell: Optional[Cell] = None,
+        initial_cell: Optional[tuple[int, int]] = None,
     ) -> None:
         self.system = system if system is not None else FuzzyHandoverSystem()
         speeds = np.atleast_1d(np.asarray(speed_kmh, dtype=float))
@@ -390,303 +423,89 @@ class BatchSimulator:
         if (speeds < 0).any():
             raise ValueError("speed_kmh must be >= 0")
         self._speeds = speeds
-        # the speed penalty is a pure function of the speeds, which are
-        # fixed for the simulator's lifetime — derive it once here so
-        # repeated run() calls (grid sweeps, shard loops) skip it
-        self._penalty = np.atleast_1d(
-            np.asarray(speed_penalty_db(speeds), dtype=float)
-        )
         self.initial_cell = tuple(initial_cell) if initial_cell else None
 
     # ------------------------------------------------------------------
+    def _ue_speeds(self, n: int) -> np.ndarray:
+        if self._speeds.shape[0] == 1:
+            return np.full(n, self._speeds[0])
+        if self._speeds.shape[0] == n:
+            return self._speeds
+        raise ValueError(f"{n} UEs but {self._speeds.shape[0]} speeds")
+
+    def state_block(
+        self,
+        layout: CellLayout,
+        n_ues: int,
+        window_km: Optional[float] = None,
+        outage_dbw: Optional[float] = None,
+    ) -> UEStateBlock:
+        """A fresh state block of ``n_ues`` slots: every UE on this
+        simulator's system, at its speed."""
+        if window_km is None:
+            window_km = DEFAULT_WINDOW_KM
+        if outage_dbw is None:
+            outage_dbw = DEFAULT_OUTAGE_DBW
+        block = UEStateBlock(
+            layout, [self.system], window_km=window_km, outage_dbw=outage_dbw
+        )
+        block.add(self._ue_speeds(n_ues))
+        if self.initial_cell is not None:
+            block.serving[:n_ues] = layout.index_of(self.initial_cell)
+        return block
+
     def run(self, series: BatchMeasurementSeries) -> BatchSimulationResult:
-        """Simulate the whole fleet, one vectorised epoch at a time."""
+        """Simulate the whole fleet, one vectorised epoch at a time,
+        keeping the full decision log."""
         if isinstance(series, TiledBatchMeasurement):
             raise TypeError(
                 "run() materialises the full fleet log and requires a "
                 "BatchMeasurementSeries; drive a tile stream through "
                 "run_metrics() (or materialize() it first)"
             )
-        return self._drive(series, _FleetLogRecorder())
+        block = self.state_block(series.layout, series.n_ues)
+        log = _FleetLog(series, block)
+        _drive(block, series, on_epoch=log.record)
+        return log.result(series, self._ue_speeds(series.n_ues))
 
     def run_metrics(
         self,
         series: MeasurementSource,
         window_km: Optional[float] = None,
         outage_dbw: Optional[float] = None,
-    ):
+        *,
+        block: Optional[UEStateBlock] = None,
+        resume: Optional[dict] = None,
+        on_tile_end: Optional[Callable[[int], None]] = None,
+    ) -> FleetMetrics:
         """Simulate the fleet and return only its
-        :class:`~repro.sim.metrics.FleetMetrics` — streaming per-epoch
-        counters, O(n_ues) memory, no ``(n_ues, n_epochs)`` histories.
+        :class:`~repro.sim.metrics.FleetMetrics` — O(n_ues) counters, no
+        ``(n_ues, n_epochs)`` histories.
 
         Accepts the materialised series or an epoch-tiled
         :class:`~repro.sim.measurement.TiledBatchMeasurement` (the
         constant-memory large-N path); both produce bit-identical
         metrics, equal to ``compute_fleet_metrics(self.run(series))``.
-        This is the path shard workers take, so a sharded fleet merges
-        to exactly the unsharded metrics.  ``outage_dbw`` sets the
-        serving-power sensitivity below which an epoch counts as outage
-        (default :data:`~repro.sim.metrics.DEFAULT_OUTAGE_DBW`).
+        ``outage_dbw`` sets the serving-power sensitivity below which an
+        epoch counts as outage (default
+        :data:`~repro.sim.metrics.DEFAULT_OUTAGE_DBW`).
+
+        ``block`` drives a caller-built
+        :class:`~repro.sim.kernel.UEStateBlock` instead of a fresh one
+        for this simulator's system and speeds — per-UE policies, and
+        the checkpoint path, which keeps a handle on the block to
+        snapshot it; its window and outage threshold then apply.
+        ``resume`` / ``on_tile_end`` are the checkpoint hooks of
+        :func:`_drive`: the resumed drive is byte-identical to the
+        uninterrupted one.
         """
-        from .metrics import (
-            DEFAULT_OUTAGE_DBW,
-            DEFAULT_WINDOW_KM,
-            FleetMetricsAccumulator,
-        )
-
-        return self._drive(
-            series,
-            FleetMetricsAccumulator(
-                DEFAULT_WINDOW_KM if window_km is None else window_km,
-                DEFAULT_OUTAGE_DBW if outage_dbw is None else outage_dbw,
-            ),
-        )
-
-    def drive_metrics(
-        self,
-        source: MeasurementSource,
-        accumulator,
-        *,
-        resume: Optional[dict] = None,
-        on_tile_end=None,
-    ):
-        """The checkpointable metrics drive (see
-        :mod:`repro.resilience.checkpoint`).
-
-        Drives a caller-built
-        :class:`~repro.sim.metrics.FleetMetricsAccumulator` so the
-        caller keeps a handle on the accumulation state.  After every
-        completed measurement tile, ``on_tile_end(next_epoch, serving,
-        hist, hist_len)`` receives the loop-local per-UE state (the
-        arrays are live loop buffers — snapshot with ``.copy()``).
-        ``resume`` restarts the loop from a tile boundary: a dict with
-        ``next_epoch``, ``serving`` / ``hist`` / ``hist_len`` copies,
-        the accumulator's ``state_dict`` under ``"consumer"``, and the
-        tile stream's ``fading_state``; the resumed drive is
-        byte-identical to the uninterrupted one.
-        """
-        return self._drive(
-            source, accumulator, resume=resume, on_tile_end=on_tile_end
-        )
-
-    def _drive(
-        self,
-        source: MeasurementSource,
-        consumer,
-        *,
-        resume: Optional[dict] = None,
-        on_tile_end=None,
-    ):
-        """The vectorised epoch loop, feeding a log/metrics consumer.
-
-        The loop owns a set of preallocated ``(n_ues,)`` scratch buffers
-        (stage masks, gathered serving power, history-window masks) that
-        every epoch rewrites in place — per-epoch work allocates only
-        the data-dependent FLC-subset arrays.  Consumers therefore must
-        not retain the mask arrays across callbacks (see
-        :class:`_FleetLogRecorder`).
-
-        The loop walks the source's measurement tiles (a materialised
-        series is one full-width tile), so the per-UE simulation state —
-        serving cell, CSSP history window — flows across tile boundaries
-        and the streamed path is bit-identical to the materialised one.
-        """
-        n, t_max = source.n_ues, source.max_epochs
-        if t_max == 0:
-            raise ValueError("cannot simulate an empty measurement series")
-        layout = source.layout
-        sys = self.system
-        if self._speeds.shape[0] == 1:
-            speeds = np.full(n, self._speeds[0])
-            penalty = np.full(n, self._penalty[0])
-        elif self._speeds.shape[0] == n:
-            speeds = self._speeds
-            penalty = self._penalty
-        else:
-            raise ValueError(
-                f"{n} UEs but {self._speeds.shape[0]} speeds"
+        if block is None:
+            block = self.state_block(
+                series.layout, series.n_ues, window_km, outage_dbw
             )
+        _drive(block, series, resume=resume, on_tile_end=on_tile_end)
+        return block.metrics()
 
-        nbr_idx, nbr_mask, nbr_deg = _neighbor_table(layout)
-        bs = layout.bs_positions
-        lengths = source.lengths
-        lag = sys.cssp_lag
-        n_bs = layout.n_cells
-
-        if self.initial_cell is not None:
-            serving = np.full(n, layout.index_of(self.initial_cell), np.intp)
-        else:
-            # initialised from the first tile's first epoch below (the
-            # tiled source has no power cube to argmax up front)
-            serving = None
-
-        # per-UE serving-power history window (scalar system's _history):
-        # oldest sample first, `hist_len` valid entries, cleared on
-        # handover exactly like the scalar pipeline.
-        hist = np.zeros((n, lag))
-        hist_len = np.zeros(n, dtype=np.intp)
-
-        consumer.begin(source, speeds)
-
-        if resume is not None:
-            if not isinstance(source, TiledBatchMeasurement):
-                raise TypeError(
-                    "resume requires a TiledBatchMeasurement (checkpoints "
-                    "are taken at tile boundaries)"
-                )
-            serving = np.asarray(resume["serving"], dtype=np.intp).copy()
-            hist = np.asarray(resume["hist"], dtype=float).copy()
-            hist_len = np.asarray(resume["hist_len"], dtype=np.intp).copy()
-            if serving.shape != (n,) or hist.shape != (n, lag):
-                raise ValueError(
-                    "resume state does not match this fleet/system "
-                    f"(serving {serving.shape}, hist {hist.shape}; "
-                    f"expected ({n},) and ({n}, {lag}))"
-                )
-            consumer.load_state_dict(resume["consumer"])
-            tiles = source.tiles(
-                start_epoch=int(resume["next_epoch"]),
-                fading_state=resume.get("fading_state"),
-            )
-        else:
-            tiles = _measurement_tiles(source)
-
-        arange = np.arange(n)
-        # hoisted per-epoch scratch (rewritten in place every epoch)
-        p_serv = np.empty(n)
-        active = np.empty(n, dtype=bool)
-        warm = np.empty(n, dtype=bool)
-        considered = np.empty(n, dtype=bool)
-        no_nbr = np.empty(n, dtype=bool)
-        gated = np.empty(n, dtype=bool)
-        flc_mask = np.empty(n, dtype=bool)
-        remembered = np.empty(n, dtype=bool)
-        window_mask = np.empty(n, dtype=bool)
-        deg_buf = np.empty(n, dtype=np.intp)
-        gather = np.empty(n, dtype=np.intp)
-        row_base = np.empty(n, dtype=np.intp)
-        tile_width = -1
-
-        for tile in tiles:
-            power_cube = tile.power_dbw
-            k_t = tile.n_epochs
-            # serving-power gather without a per-epoch fancy-indexing
-            # copy: flatten the (contiguous float64) tile cube and
-            # np.take into the p_serv scratch through a per-UE row base
-            # (other layouts/dtypes keep the fancy-indexing fallback)
-            power_flat = (
-                power_cube.reshape(-1)
-                if power_cube.flags.c_contiguous
-                and power_cube.dtype == np.float64
-                else None
-            )
-            if k_t != tile_width:
-                np.multiply(arange, k_t * n_bs, out=row_base)
-                tile_width = k_t
-            if serving is None:
-                serving = power_cube[:, 0, :].argmax(axis=1).astype(np.intp)
-
-            for j in range(k_t):
-                k = tile.start + j
-                np.less(k, lengths, out=active)
-                power_k = power_cube[:, j, :]
-                if power_flat is not None:
-                    np.add(row_base, j * n_bs, out=gather)
-                    np.add(gather, serving, out=gather)
-                    np.take(power_flat, gather, out=p_serv)
-                else:  # pragma: no cover - non-contiguous measurement cube
-                    p_serv[:] = power_k[arange, serving]
-
-                np.equal(hist_len, 0, out=warm)
-                np.logical_and(warm, active, out=warm)
-                np.logical_not(warm, out=considered)
-                np.logical_and(considered, active, out=considered)
-                np.take(nbr_deg, serving, out=deg_buf)
-                np.equal(deg_buf, 0, out=no_nbr)
-                np.logical_and(no_nbr, considered, out=no_nbr)
-                np.logical_not(no_nbr, out=flc_mask)  # reused as ~no_nbr
-                np.logical_and(considered, flc_mask, out=considered)
-                np.greater_equal(p_serv, sys.potlc_gate_dbw, out=gated)
-                np.logical_and(gated, considered, out=gated)
-                np.logical_not(gated, out=flc_mask)
-                np.logical_and(flc_mask, considered, out=flc_mask)
-
-                consumer.on_stage_masks(k, warm, no_nbr, gated)
-
-                np.copyto(remembered, active)
-                if flc_mask.any():
-                    idx = np.nonzero(flc_mask)[0]
-                    m = idx.shape[0]
-                    reference = hist[idx, 0]
-                    previous = hist[idx, hist_len[idx] - 1]
-                    srv = serving[idx]
-                    nb = nbr_idx[srv]                     # (m, max_degree)
-                    nb_p = np.where(
-                        nbr_mask[srv], power_k[idx[:, None], nb], -np.inf
-                    )
-                    best_col = nb_p.argmax(axis=1)         # first max: the
-                    best_idx = nb[np.arange(m), best_col]  # scalar tie-break
-                    best_p = nb_p[np.arange(m), best_col]
-                    delta = tile.positions_km[idx, j] - bs[srv]
-                    d_serv = np.hypot(delta[:, 0], delta[:, 1])
-
-                    cssp = p_serv[idx] - reference
-                    ssn = best_p - penalty[idx]
-                    dmb = d_serv / sys.cell_radius_km
-                    # the guard-banded decision path: compiled FLC
-                    # kernels (lut/numba) evaluate the bulk, borderline
-                    # outputs are re-evaluated exactly — decisions match
-                    # the reference backend on every registered kernel
-                    out = sys.decision_outputs_batch(cssp, ssn, dmb)
-
-                    rej_flc = out <= sys.threshold
-                    rej_prtlc = ~rej_flc
-                    if sys.prtlc_enabled:
-                        rej_prtlc &= p_serv[idx] >= previous
-                    else:
-                        rej_prtlc &= False
-                    handed = ~rej_flc & ~rej_prtlc
-
-                    consumer.on_flc(
-                        k, idx, cssp, ssn, dmb, out, rej_flc, rej_prtlc
-                    )
-
-                    if handed.any():
-                        ho = idx[handed]
-                        targets = best_idx[handed]
-                        consumer.on_handover(
-                            k,
-                            ho,
-                            serving[ho].copy(),
-                            targets,
-                            out[handed],
-                            tile.distance_km[ho, j],
-                        )
-                        serving[ho] = targets
-                        hist_len[ho] = 0        # history restarts, and
-                        remembered[ho] = False  # the handover epoch is
-                        #                         not kept
-
-                # _remember() for every non-handover active UE: slide
-                # the lag window (full rows shift, short rows append).
-                np.equal(hist_len, lag, out=window_mask)
-                np.logical_and(window_mask, remembered, out=window_mask)
-                if window_mask.any():
-                    hist[window_mask, :-1] = hist[window_mask, 1:]
-                    hist[window_mask, -1] = p_serv[window_mask]
-                np.less(hist_len, lag, out=window_mask)
-                np.logical_and(window_mask, remembered, out=window_mask)
-                if window_mask.any():
-                    rows = np.nonzero(window_mask)[0]
-                    hist[rows, hist_len[rows]] = p_serv[rows]
-                    hist_len[rows] += 1
-
-                consumer.end_epoch(k, active, serving, power_k)
-
-            if on_tile_end is not None:
-                on_tile_end(tile.stop, serving, hist, hist_len)
-
-        return consumer.finalize()
 
     def __repr__(self) -> str:
         return (

@@ -52,6 +52,7 @@ from .config import (
     SimulationParameters,
 )
 from .executor import Executor, make_executor
+from .kernel import UEStateBlock
 from .measurement import (
     DEFAULT_TILE_EPOCHS,
     BatchMeasurementSeries,
@@ -342,28 +343,38 @@ class FleetShard:
         :class:`~repro.sim.measurement.TiledBatchMeasurement`,
         unconditionally tiled — the checkpoint/resume path needs tile
         boundaries to snapshot at, so the materialised fallback of
-        :meth:`measure_streamed` is not an option.  Population specs
-        (shared per-cohort processes) are not supported here.
-        """
-        spec = self.spec
-        if spec.population is not None:
-            raise ValueError(
-                "checkpointed (tiled) measurement supports homogeneous "
-                "fleet specs only, not populations"
+        :meth:`measure_streamed` is not an option (an unset or ``0``
+        tile policy becomes :data:`DEFAULT_TILE_EPOCHS`)."""
+        k = resolve_tile_epochs(tile_epochs, self.spec.params.tile_epochs)
+        return self.measure_streamed(k or DEFAULT_TILE_EPOCHS)
+
+    def state_block(
+        self,
+        window_km: float = DEFAULT_WINDOW_KM,
+        outage_dbw: float = DEFAULT_OUTAGE_DBW,
+        system: Optional[FuzzyHandoverSystem] = None,
+    ) -> UEStateBlock:
+        """The decision-state block of this shard's UEs (slot ``i`` is
+        UE ``lo + i``), each on its cohort's policy for a population
+        spec; ``system`` puts every UE on one pipeline instead."""
+        pop = self.spec.population
+        if pop is not None:
+            return pop.state_block(
+                self.lo, self.hi, window_km, outage_dbw, system
             )
-        batch = spec.params.make_walk(spec.n_walks).generate_batch_seeded(
-            self.walk_seeds()
+        return self.simulator(system).state_block(
+            self.spec.params.make_layout(), self.n_ues, window_km, outage_dbw
         )
-        sampler = spec.make_sampler()
-        rngs = None
-        if sampler.fading is not None:
-            rngs = [
-                spec.fading_base_seed + i for i in range(self.lo, self.hi)
-            ]
-        k = resolve_tile_epochs(tile_epochs, spec.params.tile_epochs)
-        if k == 0 or k is None:
-            k = DEFAULT_TILE_EPOCHS
-        return sampler.measure_batch_tiles(batch, k, fading_rngs=rngs)
+
+    def label(self, metrics: FleetMetrics) -> FleetMetrics:
+        """``metrics`` of this shard with its cohort labels attached
+        (unchanged for a homogeneous spec)."""
+        pop = self.spec.population
+        if pop is None:
+            return metrics
+        return metrics.with_cohorts(
+            pop.cohort_ids(self.lo, self.hi), pop.cohort_names
+        )
 
     def simulator(
         self, system: Optional[FuzzyHandoverSystem] = None
@@ -404,11 +415,11 @@ class FleetShard:
     ) -> FleetMetrics:
         """Streaming shard metrics — never materialises the full log.
 
-        Population shards return cohort-labelled metrics (one vectorised
-        pass per distinct cohort policy, reassembled in UE order).  The
-        measurement side follows the epoch-tile policy (see
-        :meth:`measure_streamed`), so large shards stream their power
-        cube tile by tile with byte-identical metrics."""
+        Population shards return cohort-labelled metrics (one drive with
+        each UE on its cohort's policy).  The measurement side follows
+        the epoch-tile policy (see :meth:`measure_streamed`), so large
+        shards stream their power cube tile by tile with byte-identical
+        metrics."""
         pop = self.spec.population
         if pop is not None:
             return pop.run_metrics(
@@ -486,13 +497,12 @@ def _warm_system(spec: FleetSpec, flc_key: Optional[tuple]):
 def _shard_metrics(task: tuple) -> FleetMetrics:
     """Top-level worker (must be module-level to be picklable).
 
-    Accepts the 3-tuple payload of older callers and the 4-tuple
-    ``(shard, window_km, outage_dbw, flc_key)`` that ships the FLC
-    structural fingerprint, letting a rejoining worker reuse its
+    The payload ``(shard, window_km, outage_dbw, flc_key)`` ships the
+    FLC structural fingerprint, letting a rejoining worker reuse its
     process-wide compiled-table cache across reconnects.
     """
-    shard, window_km, outage_dbw, *rest = task
-    system = _warm_system(shard.spec, rest[0]) if rest else None
+    shard, window_km, outage_dbw, flc_key = task
+    system = _warm_system(shard.spec, flc_key)
     return shard.metrics(window_km, system=system, outage_dbw=outage_dbw)
 
 

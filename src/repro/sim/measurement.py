@@ -266,37 +266,6 @@ class BatchMeasurementSeries:
             layout=self.layout,
         )
 
-    def select(self, indices: np.ndarray) -> "BatchMeasurementSeries":
-        """The sub-fleet of the given UE rows, in the given order.
-
-        Per-UE row *values* are identical to the full batch's, so
-        simulating a selection is bit-identical per UE to simulating the
-        full batch — the property the population layer's policy grouping
-        relies on.  A contiguous ascending selection returns views (no
-        copies, read-only downstream use); any other selection copies
-        via fancy indexing.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 1 or idx.shape[0] < 1:
-            raise ValueError(
-                f"indices must be a non-empty 1-D array, got shape {idx.shape}"
-            )
-        if not (0 <= idx.min() and idx.max() < self.n_ues):
-            raise ValueError(
-                f"indices must lie in [0, {self.n_ues}), "
-                f"got [{idx.min()}, {idx.max()}]"
-            )
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        if hi - lo == idx.shape[0] and (np.diff(idx) == 1).all():
-            idx = slice(lo, hi)  # type: ignore[assignment]
-        return BatchMeasurementSeries(
-            positions_km=self.positions_km[idx],
-            distance_km=self.distance_km[idx],
-            power_dbw=self.power_dbw[idx],
-            lengths=self.lengths[idx],
-            layout=self.layout,
-        )
-
 
 @dataclass(frozen=True)
 class MeasurementTile:
@@ -342,9 +311,8 @@ class TiledBatchMeasurement:
     order as the one-shot ``sample_along``).
 
     With fading, :meth:`tiles` is single-shot — consuming it advances
-    the per-UE fading generators, so a second pass (or a pass over a
-    parent stream after :meth:`select`) would silently draw different
-    noise; the stream guards both with a :class:`RuntimeError`.
+    the per-UE fading generators, so a second pass would silently draw
+    different noise; the stream guards it with a :class:`RuntimeError`.
     """
 
     def __init__(
@@ -388,10 +356,6 @@ class TiledBatchMeasurement:
             list(fading_profiles) if fading_profiles is not None else None
         )
         self._consumed = False
-        # rows whose fading generators were handed to a sub-stream via
-        # select(); disjoint selections stay independent (every UE owns
-        # its generator), overlapping ones would double-draw
-        self._donated: set[int] = set()
         # the active pass's per-UE fading streams (checkpoint capture)
         self._streams: Optional[list[Optional[ShadowFadingStream]]] = None
 
@@ -419,76 +383,10 @@ class TiledBatchMeasurement:
                 "this tile stream's fading generators were already "
                 "consumed; rebuild the stream from the sampler"
             )
-        if self._donated:
-            raise RuntimeError(
-                "this tile stream donated fading generators to "
-                "select() sub-streams; consume those instead, or "
-                "rebuild the stream from the sampler"
-            )
         if self._has_fading:
             self._consumed = True
 
     # ------------------------------------------------------------------
-    def select(self, indices: np.ndarray) -> "TiledBatchMeasurement":
-        """The sub-fleet's tile stream, in the given row order.
-
-        Mobility rows are shared (views for contiguous selections);
-        fading generators move to the sub-stream.  Disjoint selections —
-        the population layer's policy groups — stay independent because
-        every UE owns its own generator; selecting a fading UE twice, or
-        consuming the parent after a donation, would double-draw and is
-        rejected.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        if idx.ndim != 1 or idx.shape[0] < 1:
-            raise ValueError(
-                f"indices must be a non-empty 1-D array, got shape {idx.shape}"
-            )
-        if not (0 <= idx.min() and idx.max() < self.n_ues):
-            raise ValueError(
-                f"indices must lie in [0, {self.n_ues}), "
-                f"got [{idx.min()}, {idx.max()}]"
-            )
-        if self._consumed:
-            raise RuntimeError(
-                "cannot select from a consumed tile stream; rebuild the "
-                "stream from the sampler"
-            )
-        donating: set[int] = set()
-        if self._profiles is not None:
-            donating = {
-                int(i)
-                for i in idx
-                if self._profiles[int(i)] is not None
-                and self._profiles[int(i)].sigma_db > 0.0
-            }
-            overlap = donating & self._donated
-            if overlap:
-                raise RuntimeError(
-                    f"fading generators of UEs {sorted(overlap)[:5]} were "
-                    "already donated to another select() sub-stream; "
-                    "selections must be disjoint"
-                )
-        take = idx
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        if hi - lo == idx.shape[0] and (np.diff(idx) == 1).all():
-            take = slice(lo, hi)  # type: ignore[assignment]
-        sub = TiledBatchMeasurement(
-            positions_km=self.positions_km[take],
-            distance_km=self.distance_km[take],
-            lengths=self.lengths[take],
-            layout=self.layout,
-            propagation=self.propagation,
-            tile_epochs=self.tile_epochs,
-            fading_profiles=(
-                [self._profiles[int(i)] for i in idx]
-                if self._profiles is not None
-                else None
-            ),
-        )
-        self._donated |= donating
-        return sub
-
     def tiles(
         self,
         start_epoch: int = 0,
@@ -573,20 +471,13 @@ class TiledBatchMeasurement:
         bs = self.layout.bs_positions
         lengths = self.lengths
         # one preallocated per-tile power buffer, recycled every tile
-        # (the short tail tile gets its own exact-size buffer so every
-        # yielded cube stays C-contiguous for the consumer's flat
-        # serving-power gather)
+        # (the short tail tile uses its leading epochs)
         power_buf = np.empty((n, min(tile, t_max), n_cells))
         for lo in range(start_epoch, t_max, tile):
             hi = min(lo + tile, t_max)
-            k = hi - lo
             positions = self.positions_km[:, lo:hi]
             distance = self.distance_km[:, lo:hi]
-            buf = (
-                power_buf
-                if k == power_buf.shape[1]
-                else np.empty((n, k, n_cells))
-            )
+            buf = power_buf[:, : hi - lo]
             buf[...] = self.propagation.power_from_sites_batch(bs, positions)
             if streams is not None:
                 for i, stream in enumerate(streams):

@@ -43,7 +43,6 @@ __all__ = [
     "compute_metrics",
     "CohortMetrics",
     "FleetMetrics",
-    "FleetMetricsAccumulator",
     "compute_fleet_metrics",
     "merge_fleet_metrics",
     "DEFAULT_OUTAGE_DBW",
@@ -537,198 +536,6 @@ def merge_fleet_metrics(parts: Iterable[FleetMetrics]) -> FleetMetrics:
     return merged
 
 
-class FleetMetricsAccumulator:
-    """Incremental fleet metrics — per-epoch counters, O(n_ues) memory.
-
-    A *consumer* for :meth:`repro.sim.batch.BatchSimulator.run_metrics`:
-    the epoch loop feeds it the same masked stage/FLC/handover slices it
-    would write into the full ``(n_ues, n_epochs)`` log, and the
-    accumulator folds them into per-UE counters on the fly — long
-    simulations never materialise full histories.  :meth:`finalize`
-    returns a :class:`FleetMetrics` bit-identical to the post-hoc
-    :func:`compute_fleet_metrics` over the full log (the per-UE float
-    accumulation happens in the same epoch order).
-    """
-
-    def __init__(
-        self,
-        window_km: float = DEFAULT_WINDOW_KM,
-        outage_dbw: float = DEFAULT_OUTAGE_DBW,
-    ) -> None:
-        if window_km <= 0:
-            raise ValueError(f"window_km must be positive, got {window_km}")
-        if not math.isfinite(outage_dbw):
-            raise ValueError(f"outage_dbw must be finite, got {outage_dbw}")
-        self.window_km = float(window_km)
-        self.outage_dbw = float(outage_dbw)
-
-    # -- consumer interface -------------------------------------------
-    def begin(self, source, speeds: np.ndarray) -> None:
-        # `source` is a series or tile stream; the accumulator never
-        # touches its power cube (epoch data arrives through the
-        # callback arguments), which is what lets the tiled path run at
-        # O(n_ues) memory
-        n = source.n_ues
-        self._lengths = source.lengths
-        self._handovers = np.zeros(n, dtype=np.intp)
-        self._ping_pongs = np.zeros(n, dtype=np.intp)
-        self._necessary = np.zeros(n, dtype=np.intp)
-        self._wrong = np.zeros(n, dtype=np.intp)
-        self._outage = np.zeros(n, dtype=np.intp)
-        self._arange = np.arange(n)
-        self._dwell_sum = np.zeros(n, dtype=np.intp)
-        self._dwell_count = np.zeros(n, dtype=np.intp)
-        self._last_event_step = np.zeros(n, dtype=np.intp)
-        self._prev_src = np.full(n, -1, dtype=np.intp)
-        self._prev_tgt = np.full(n, -1, dtype=np.intp)
-        self._prev_dist = np.zeros(n)
-        self._out_sum = np.zeros(n)
-        self._out_count = np.zeros(n, dtype=np.intp)
-        self._out_max = np.full(n, -np.inf)
-        self._prev_strongest: Optional[np.ndarray] = None
-
-    def on_stage_masks(
-        self, k: int, warm: np.ndarray, no_nbr: np.ndarray, gated: np.ndarray
-    ) -> None:
-        pass  # stage occupancy is not part of the fleet aggregates
-
-    def on_flc(
-        self,
-        k: int,
-        idx: np.ndarray,
-        cssp: np.ndarray,
-        ssn: np.ndarray,
-        dmb: np.ndarray,
-        out: np.ndarray,
-        rej_flc: np.ndarray,
-        rej_prtlc: np.ndarray,
-    ) -> None:
-        finite = np.isfinite(out)
-        self._out_sum[idx] += np.where(finite, out, 0.0)
-        self._out_count[idx] += finite
-        self._out_max[idx] = np.maximum(
-            self._out_max[idx], np.where(finite, out, -np.inf)
-        )
-
-    def on_handover(
-        self,
-        k: int,
-        ues: np.ndarray,
-        sources: np.ndarray,
-        targets: np.ndarray,
-        outputs: np.ndarray,
-        distances: np.ndarray,
-    ) -> None:
-        self._handovers[ues] += 1
-        dist = distances
-        # a bounce straight back: A->B then B->A within the window
-        # (prev_tgt == -1 rows can never match a real source index)
-        bounce = (
-            (self._prev_tgt[ues] == sources)
-            & (self._prev_src[ues] == targets)
-            & (dist - self._prev_dist[ues] <= self.window_km)
-        )
-        self._ping_pongs[ues] += bounce
-        self._prev_src[ues] = sources
-        self._prev_tgt[ues] = targets
-        self._prev_dist[ues] = dist
-        gap = k - self._last_event_step[ues]
-        positive = gap > 0
-        self._dwell_sum[ues] += np.where(positive, gap, 0)
-        self._dwell_count[ues] += positive
-        self._last_event_step[ues] = k
-
-    def end_epoch(
-        self,
-        k: int,
-        active: np.ndarray,
-        serving: np.ndarray,
-        power_k: np.ndarray,
-    ) -> None:
-        strongest = power_k.argmax(axis=1)
-        self._wrong += active & (serving != strongest)
-        self._outage += active & (
-            power_k[self._arange, serving] < self.outage_dbw
-        )
-        if self._prev_strongest is not None:
-            self._necessary += active & (strongest != self._prev_strongest)
-        self._prev_strongest = strongest
-
-    # -- checkpoint support --------------------------------------------
-    #: every mutable per-UE reduction array the epoch callbacks touch
-    #: (``_lengths`` / ``_arange`` are derived from the source by
-    #: ``begin`` and need no snapshotting)
-    _STATE_ARRAYS = (
-        "_handovers",
-        "_ping_pongs",
-        "_necessary",
-        "_wrong",
-        "_outage",
-        "_dwell_sum",
-        "_dwell_count",
-        "_last_event_step",
-        "_prev_src",
-        "_prev_tgt",
-        "_prev_dist",
-        "_out_sum",
-        "_out_count",
-        "_out_max",
-    )
-
-    def state_dict(self) -> dict:
-        """A deep snapshot of the accumulation state (taken *before*
-        :meth:`finalize`, which folds dwell tails in place).  Restoring
-        it into a freshly ``begin``-initialised accumulator and
-        replaying the remaining epochs is byte-identical to the
-        uninterrupted run."""
-        state = {
-            name: getattr(self, name).copy() for name in self._STATE_ARRAYS
-        }
-        state["_prev_strongest"] = (
-            None
-            if self._prev_strongest is None
-            else self._prev_strongest.copy()
-        )
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot.  :meth:`begin` must
-        have run first (it sizes the arrays from the source)."""
-        for name in self._STATE_ARRAYS:
-            mine = getattr(self, name)
-            theirs = state[name]
-            if mine.shape != theirs.shape:
-                raise ValueError(
-                    f"checkpoint array {name} has shape {theirs.shape}, "
-                    f"expected {mine.shape} — the snapshot belongs to a "
-                    "different fleet"
-                )
-            mine[...] = theirs
-        prev = state["_prev_strongest"]
-        self._prev_strongest = None if prev is None else prev.copy()
-
-    def finalize(self) -> FleetMetrics:
-        tail = self._lengths - self._last_event_step
-        has_tail = tail > 0
-        self._dwell_sum[has_tail] += tail[has_tail]
-        self._dwell_count[has_tail] += 1
-        return FleetMetrics.from_per_ue(
-            window_km=self.window_km,
-            outage_dbw=self.outage_dbw,
-            epochs=self._lengths,
-            handovers=self._handovers,
-            ping_pongs=self._ping_pongs,
-            necessary=self._necessary,
-            wrong_epochs=self._wrong,
-            outage_epochs=self._outage,
-            dwell_epochs=self._dwell_sum,
-            dwell_counts=self._dwell_count,
-            output_sums=self._out_sum,
-            output_counts=self._out_count,
-            output_maxes=self._out_max,
-        )
-
-
 def compute_fleet_metrics(
     result: "BatchSimulationResult",
     window_km: float = DEFAULT_WINDOW_KM,
@@ -740,7 +547,8 @@ def compute_fleet_metrics(
     Per UE the numbers equal :func:`compute_metrics` over
     :meth:`~repro.sim.batch.BatchSimulationResult.ue_result` — the
     equivalence tests pin this.  The result is bit-identical to the
-    streaming :class:`FleetMetricsAccumulator` over the same run, and
+    streaming counters of :class:`~repro.sim.kernel.UEStateBlock` over
+    the same run, and
     any contiguous sharding of the fleet merges back to it exactly (see
     :func:`merge_fleet_metrics`).
     """
@@ -810,8 +618,8 @@ def compute_fleet_metrics(
             dwell_count_per_ue[i] = int(dwells.size)
 
     # FLC-output reductions per UE; cumsum accumulates each row in epoch
-    # order, the same float-addition sequence the streaming accumulator
-    # performs, so the two paths agree bit-for-bit
+    # order, the same float-addition sequence the streaming counters
+    # perform, so the two paths agree bit-for-bit
     finite = np.isfinite(result.outputs)
     masked = np.where(finite, result.outputs, 0.0)
     output_sum_per_ue = masked.cumsum(axis=1)[:, -1]

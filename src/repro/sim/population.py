@@ -34,10 +34,9 @@ test suite.
 Trace generation is grouped per cohort model (one
 ``generate_batch_seeded`` call per cohort where the model provides it),
 and measurement/simulation stay fully batched across the whole mixed
-fleet; per-cohort handover policies split the batch into *policy
-groups* — one vectorised pass per distinct policy, reassembled into
-global UE order — so the homogeneous-policy hot path never pays a
-grouping cost.
+fleet; per-cohort handover policies become a per-UE policy id in the
+one :class:`~repro.sim.kernel.UEStateBlock` the fleet is driven with,
+and the decision kernel makes one FLC call per policy per epoch.
 """
 
 from __future__ import annotations
@@ -61,6 +60,7 @@ from .config import (
     DEFAULT_FADING_BASE_SEED,
     SimulationParameters,
 )
+from .kernel import UEStateBlock
 from .measurement import (
     BatchMeasurementSeries,
     MeasurementSampler,
@@ -87,8 +87,7 @@ class PolicyConfig:
 
     The knobs of :class:`~repro.core.system.FuzzyHandoverSystem` that a
     cohort may override (the FLC rule base itself stays the paper's);
-    hashable so cohorts sharing a configuration collapse into one
-    vectorised policy group.
+    hashable so cohorts sharing a configuration share one policy id.
     """
 
     threshold: float = HANDOVER_THRESHOLD
@@ -438,8 +437,8 @@ class PopulationSpec:
         UE indices they govern, in first-appearance (global) order.
 
         Cohorts sharing a policy (the common case: all ``None``)
-        collapse into one group, so a homogeneous-policy population runs
-        as a single vectorised batch.
+        collapse into one group, so a homogeneous-policy population
+        makes one FLC call per epoch.
         """
         lo, hi = self._range(lo, hi)
         groups: dict[Optional[PolicyConfig], list[np.ndarray]] = {}
@@ -475,12 +474,7 @@ class PopulationSpec:
     ) -> FuzzyHandoverSystem:
         """The pipeline for one policy group (``None`` = paper default),
         on the population's FLC inference backend."""
-        if policy is None:
-            return FuzzyHandoverSystem(
-                cell_radius_km=self.params.cell_radius_km,
-                flc_backend=self.params.flc_backend,
-            )
-        return policy.make_system(
+        return (policy or PolicyConfig()).make_system(
             self.params.cell_radius_km,
             flc_backend=self.params.flc_backend,
         )
@@ -516,6 +510,36 @@ class PopulationSpec:
             fading_profiles=self.fading_profiles(lo, hi),
         )
 
+    def state_block(
+        self,
+        lo: int = 0,
+        hi: Optional[int] = None,
+        window_km: float = DEFAULT_WINDOW_KM,
+        outage_dbw: float = DEFAULT_OUTAGE_DBW,
+        system: Optional[FuzzyHandoverSystem] = None,
+    ) -> UEStateBlock:
+        """The decision-state block of UEs ``[lo, hi)``: one slot per UE
+        at its speed, under its cohort's policy (policy ids number the
+        :meth:`policy_groups` in order).  ``system`` puts every UE on
+        one pipeline instead."""
+        lo, hi = self._range(lo, hi)
+        policy_ids = np.zeros(hi - lo, dtype=np.intp)
+        if system is not None:
+            systems = [system]
+        else:
+            groups = self.policy_groups(lo, hi)
+            systems = [self.make_system(policy) for policy, _ in groups]
+            for pid, (_, idx) in enumerate(groups):
+                policy_ids[idx] = pid
+        block = UEStateBlock(
+            self.params.make_layout(),
+            systems,
+            window_km=window_km,
+            outage_dbw=outage_dbw,
+        )
+        block.add(self.ue_speeds(lo, hi), policy_ids)
+        return block
+
     def run_metrics(
         self,
         lo: int = 0,
@@ -527,46 +551,17 @@ class PopulationSpec:
     ) -> FleetMetrics:
         """Streaming cohort-labelled metrics of UEs ``[lo, hi)``.
 
-        One vectorised batch per policy group (a single group when every
-        cohort shares a policy), reassembled into global UE order — the
-        per-UE reductions are elementwise, so the grouping never changes
-        a value.  Pass ``system`` to override every cohort's policy.
-        The measurement side follows the epoch-tile policy (see
-        :meth:`measure_streamed`): policy groups select disjoint
-        sub-streams of one tile stream, each carrying its own UEs'
-        fading generators, so the grouped streamed run stays
-        byte-identical to the materialised one.
+        One drive over every UE of the range, each on its cohort's
+        policy (see :meth:`state_block`); pass ``system`` to override
+        every cohort's policy.  The measurement side follows the
+        epoch-tile policy (see :meth:`measure_streamed`).
         """
         lo, hi = self._range(lo, hi)
-        series = self.measure_streamed(lo, hi, tile_epochs=tile_epochs)
-        speeds = self.ue_speeds(lo, hi)
-        if system is not None:
-            groups: list[tuple[Optional[PolicyConfig], np.ndarray]] = [
-                (None, np.arange(hi - lo))
-            ]
-            systems = [system]
-        else:
-            groups = self.policy_groups(lo, hi)
-            systems = [self.make_system(policy) for policy, _ in groups]
-        if len(groups) == 1:
-            metrics = BatchSimulator(
-                systems[0], speed_kmh=speeds
-            ).run_metrics(series, window_km=window_km, outage_dbw=outage_dbw)
-        else:
-            parts = [
-                BatchSimulator(
-                    sys_g, speed_kmh=speeds[idx]
-                ).run_metrics(
-                    series.select(idx),
-                    window_km=window_km,
-                    outage_dbw=outage_dbw,
-                )
-                for sys_g, (_, idx) in zip(systems, groups)
-            ]
-            metrics = _reassemble(
-                parts, [idx for _, idx in groups], hi - lo,
-                window_km, outage_dbw,
-            )
+        block = self.state_block(lo, hi, window_km, outage_dbw, system)
+        metrics = BatchSimulator(block.systems[0]).run_metrics(
+            self.measure_streamed(lo, hi, tile_epochs=tile_epochs),
+            block=block,
+        )
         return metrics.with_cohorts(
             self.cohort_ids(lo, hi), self.cohort_names
         )
@@ -603,45 +598,6 @@ class PopulationSpec:
             flc_backend=flc_backend,
             tile_epochs=tile_epochs,
         )
-
-
-def _reassemble(
-    parts: list[FleetMetrics],
-    index_lists: list[np.ndarray],
-    n: int,
-    window_km: float,
-    outage_dbw: float,
-) -> FleetMetrics:
-    """Scatter per-policy-group metrics back into global UE order.
-
-    Every :class:`FleetMetrics` aggregate derives from its per-UE
-    reduction arrays, so scattering those arrays and rebuilding via
-    :meth:`FleetMetrics.from_per_ue` yields exactly the metrics a single
-    joint run would produce (the per-UE streams are elementwise and
-    identical either way).
-    """
-    fields = {
-        "epochs": ("epochs_per_ue", np.intp),
-        "handovers": ("handovers_per_ue", np.intp),
-        "ping_pongs": ("ping_pongs_per_ue", np.intp),
-        "necessary": ("necessary_per_ue", np.intp),
-        "wrong_epochs": ("wrong_epochs_per_ue", np.intp),
-        "outage_epochs": ("outage_epochs_per_ue", np.intp),
-        "dwell_epochs": ("dwell_epochs_per_ue", np.intp),
-        "dwell_counts": ("dwell_count_per_ue", np.intp),
-        "output_sums": ("output_sum_per_ue", float),
-        "output_counts": ("output_count_per_ue", np.intp),
-        "output_maxes": ("output_max_per_ue", float),
-    }
-    gathered = {
-        key: np.zeros(n, dtype=dtype) for key, (_, dtype) in fields.items()
-    }
-    for part, idx in zip(parts, index_lists):
-        for key, (attr, _) in fields.items():
-            gathered[key][idx] = getattr(part, attr)
-    return FleetMetrics.from_per_ue(
-        window_km=window_km, outage_dbw=outage_dbw, **gathered
-    )
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.resilience import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     FaultPlan,
     FaultRule,
@@ -28,7 +29,7 @@ from repro.resilience import (
     load_checkpoint,
     run_fleet_checkpointed,
 )
-from repro.sim import FleetSpec, SimulationParameters
+from repro.sim import FleetSpec, SimulationParameters, run_fleet
 
 pytestmark = pytest.mark.resilience
 
@@ -158,16 +159,60 @@ def test_malformed_checkpoint_raises(tmp_path):
         run(make_spec(2), tmp_path)
 
 
-def test_population_specs_rejected(tmp_path):
-    from repro.sim import SimulationParameters, named_population
-    from repro.sim.fleet import FleetSpec
+def test_previous_checkpoint_version_rejected(tmp_path):
+    spec = make_spec(2)
+    run(spec, tmp_path)
+    state = load_checkpoint(tmp_path)
+    state["version"] = CHECKPOINT_VERSION - 1
+    checkpoint_path(tmp_path).write_bytes(frozen(state))
+    with pytest.raises(CheckpointError, match="version"):
+        run(spec, tmp_path)
+
+
+# ----------------------------------------------------------------------
+# heterogeneous populations: per-UE policies in the one state block
+# ----------------------------------------------------------------------
+def urban_mix_spec(n_ues: int = 12) -> FleetSpec:
+    """``urban_mix`` with fading on and the vehicular cohort on its own
+    handover policy."""
+    from dataclasses import replace
+
+    from repro.sim import named_population
+    from repro.sim.population import PolicyConfig
 
     population = named_population(
-        "urban_mix", 6, SimulationParameters(), base_seed=9
+        "urban_mix",
+        n_ues,
+        SimulationParameters(shadow_sigma_db=6.0),
+        base_seed=9,
     )
-    spec = FleetSpec.from_population(population)
-    with pytest.raises(ValueError, match="homogeneous"):
-        run(spec, tmp_path)
+    vehicular = PolicyConfig(threshold=0.8, prtlc_enabled=False)
+    cohorts = tuple(
+        replace(c, policy=vehicular) if c.name == "vehicular" else c
+        for c in population.cohorts
+    )
+    return FleetSpec.from_population(replace(population, cohorts=cohorts))
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_population_crash_then_resume_matches_run_fleet(tmp_path, n_shards):
+    spec = urban_mix_spec()
+    reference = run_fleet(spec, n_shards=n_shards)
+    assert reference.cohort_names == ("pedestrian", "stationary", "vehicular")
+
+    crashed = tmp_path / "crashed"
+    with pytest.raises(SimulatedCrash):
+        run(
+            spec,
+            crashed,
+            n_shards=n_shards,
+            fault_plan=CRASH_AT_SECOND_CHECKPOINT,
+        )
+    state = load_checkpoint(crashed)
+    assert state is not None and state["result"] is None
+
+    resumed = run(spec, crashed, n_shards=n_shards)
+    assert frozen(resumed) == frozen(reference)
 
 
 def test_checkpoint_writes_are_atomic(tmp_path):
@@ -183,8 +228,10 @@ def test_checkpoint_writes_are_atomic(tmp_path):
 # ----------------------------------------------------------------------
 # the real thing: SIGKILL the CLI between checkpoints
 # ----------------------------------------------------------------------
-@pytest.mark.slow
-def test_sigkill_between_checkpoints_resumes_byte_identical(tmp_path):
+def sigkill_then_resume(tmp_path, fleet_args):
+    """Run ``repro fleet --checkpoint`` uninterrupted, then SIGKILL a
+    second run as soon as its first checkpoint lands and resume it;
+    returns both metrics pickles' contents."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(
         Path(__file__).resolve().parents[2] / "src"
@@ -194,8 +241,7 @@ def test_sigkill_between_checkpoints_resumes_byte_identical(tmp_path):
 
     def fleet_cmd(ckpt_dir, metrics_out):
         return [
-            sys.executable, "-m", "repro", "fleet",
-            "--ues", "8", "--walks", "2",
+            sys.executable, "-m", "repro", "fleet", *fleet_args,
             "--checkpoint", str(ckpt_dir),
             "--metrics-out", str(metrics_out),
         ]
@@ -239,4 +285,21 @@ def test_sigkill_between_checkpoints_resumes_byte_identical(tmp_path):
         reference = pickle.load(fh)
     with out_b.open("rb") as fh:
         resumed = pickle.load(fh)
+    return reference, resumed
+
+
+@pytest.mark.slow
+def test_sigkill_between_checkpoints_resumes_byte_identical(tmp_path):
+    reference, resumed = sigkill_then_resume(
+        tmp_path, ["--ues", "8", "--walks", "2"]
+    )
+    assert frozen(resumed) == frozen(reference)
+
+
+@pytest.mark.slow
+def test_sigkill_population_resumes_byte_identical(tmp_path):
+    reference, resumed = sigkill_then_resume(
+        tmp_path, ["--ues", "8", "--population", "urban_mix"]
+    )
+    assert reference.cohort_names is not None
     assert frozen(resumed) == frozen(reference)

@@ -76,13 +76,18 @@ class TestTuningValidation:
 # checkpointed fleet runs
 # ----------------------------------------------------------------------
 class TestCheckpointFlags:
-    def test_checkpoint_rejects_population(self, capsys):
-        fails_with(
-            capsys,
-            ["fleet", "--ues", "6", "--population", "urban_mix",
-             "--checkpoint", "/tmp/x"],
-            "homogeneous fleets only",
-        )
+    def test_checkpointed_population_run(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        out_path = tmp_path / "metrics.pkl"
+        argv = ["fleet", "--ues", "6", "--population", "urban_mix",
+                "--checkpoint", str(ckpt), "--metrics-out", str(out_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert f"checkpointed in {ckpt}" in out
+        assert "cohorts  :" in out
+        with out_path.open("rb") as fh:
+            fleet = pickle.load(fh)
+        assert fleet.cohort_names == ("pedestrian", "stationary", "vehicular")
 
     @pytest.mark.parametrize(
         "flag", [["--hosts", "localhost:1"], ["--workers", "2"]]

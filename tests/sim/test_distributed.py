@@ -18,7 +18,6 @@ import pytest
 from repro.sim import (
     DistributedExecutionError,
     DistributedExecutor,
-    FaultSpec,
     FleetSpec,
     SimulationParameters,
     WorkerServer,
@@ -26,6 +25,7 @@ from repro.sim import (
     parse_hosts,
     run_fleet,
 )
+from repro.resilience import FaultPlan, FaultRule
 from repro.sim.distributed import (
     parse_address,
     recv_frame,
@@ -33,6 +33,14 @@ from repro.sim.distributed import (
 )
 
 pytestmark = pytest.mark.distributed
+
+
+def worker_fault(mode: str, repeat: bool = False) -> FaultPlan:
+    """A plan that fails the worker on its first task (every task from
+    then on with ``repeat``)."""
+    return FaultPlan(
+        rules=(FaultRule(scope="worker", mode=mode, after=1, repeat=repeat),)
+    )
 
 
 def square(x):
@@ -126,12 +134,12 @@ class TestProtocol:
             parse_hosts([])
 
     @pytest.mark.parametrize("kwargs", [
-        {"after": 0},
+        {"after": 0, "mode": "exit"},
         {"mode": "explode"},
     ])
     def test_fault_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
-            FaultSpec(**kwargs)
+            FaultRule(scope="worker", **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +204,7 @@ class TestTransportFaults:
     def test_dropped_connection_retries_and_succeeds(self):
         # worker drops the connection on its first task, serves the
         # reissued attempt after the client reconnects
-        fault = FaultSpec(after=1, mode="drop")
+        fault = worker_fault("drop")
         with worker_servers(1, fault=fault) as (_, hosts):
             got = fast_executor(hosts).map(square, [4, 5])
         assert got == [16, 25]
@@ -204,7 +212,7 @@ class TestTransportFaults:
     def test_lost_shard_reissued_to_surviving_worker(self):
         # two workers; one drops mid-task — the lost task must land on
         # a worker and every result stay correct
-        fault = FaultSpec(after=1, mode="drop")
+        fault = worker_fault("drop")
         with worker_servers(2, fault=fault) as (_, hosts):
             got = fast_executor(hosts).map(square, list(range(8)))
         assert got == [x * x for x in range(8)]
@@ -212,13 +220,13 @@ class TestTransportFaults:
     def test_hung_worker_detected_by_heartbeat_silence(self):
         # "hang" keeps the socket open but never frames anything — only
         # silence detection can catch it
-        fault = FaultSpec(after=1, mode="hang")
+        fault = worker_fault("hang")
         with worker_servers(1, fault=fault) as (_, hosts):
             ex = fast_executor(hosts, heartbeat_timeout=0.3)
             assert ex.map(square, [6]) == [36]
 
     def test_retries_exhausted_names_the_task(self):
-        fault = FaultSpec(after=1, mode="drop", repeat=True)
+        fault = worker_fault("drop", repeat=True)
         with worker_servers(1, fault=fault) as (_, hosts):
             ex = fast_executor(hosts, max_retries=2, serial_fallback=False)
             with pytest.raises(
@@ -271,7 +279,7 @@ class TestDistributedFleet:
         # a worker drops mid-shard; the reissued shard reruns from its
         # global-index seeds, so the merge stays byte-identical
         serial = run_fleet(self.SPEC, n_shards=1)
-        fault = FaultSpec(after=1, mode="drop")
+        fault = worker_fault("drop")
         with worker_servers(2, fault=fault) as (_, hosts):
             dist = run_fleet(
                 self.SPEC,
@@ -291,7 +299,7 @@ class TestDistributedFleet:
     def test_retries_exhausted_error_names_shard_range(self):
         # the ISSUE-6 satellite: a dead shard's error must say *which*
         # UE range was lost
-        fault = FaultSpec(after=1, mode="drop", repeat=True)
+        fault = worker_fault("drop", repeat=True)
         with worker_servers(1, fault=fault) as (_, hosts):
             ex = fast_executor(hosts, max_retries=1, serial_fallback=False)
             with pytest.raises(DistributedExecutionError) as excinfo:

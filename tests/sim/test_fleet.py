@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import FuzzyHandoverSystem
 from repro.sim import (
     FleetSpec,
     SerialExecutor,
@@ -205,10 +206,14 @@ class TestStreamingMetrics:
         )
 
     def test_window_validation(self):
-        from repro.sim import FleetMetricsAccumulator
+        from repro.sim.kernel import UEStateBlock
 
+        layout = SimulationParameters().make_layout()
+        system = [FuzzyHandoverSystem()]
         with pytest.raises(ValueError, match="window_km"):
-            FleetMetricsAccumulator(window_km=0.0)
+            UEStateBlock(layout, system, window_km=0.0)
+        with pytest.raises(ValueError, match="outage_dbw"):
+            UEStateBlock(layout, system, outage_dbw=float("nan"))
 
     def test_outage_threshold_threads_through_run_fleet(self):
         spec = make_spec(5)

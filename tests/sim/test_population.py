@@ -446,6 +446,47 @@ class TestPolicyGroups:
             np.concatenate([solo_a.epochs_per_ue, solo_b.epochs_per_ue]),
         )
 
+        # the same UEs with two policies interleaved in UE order, driven
+        # through one pass, equal each policy run alone over its own
+        # UEs; the eager policy also looks 3 epochs back, so one state
+        # block holds history windows of two widths
+        from repro.sim import BatchMeasurementSeries, BatchSimulator
+        from repro.sim.tracefile import FleetTrace, offline_reference_metrics
+
+        series = pop.measure()
+        speeds = pop.ue_speeds()
+        eager = replace(pop.cohorts[1].policy, cssp_lag=3)
+        policies = tuple(eager if i % 2 else None for i in range(pop.n_ues))
+        mixed = offline_reference_metrics(
+            FleetTrace.from_series(series, speeds, FAST, policies=policies)
+        )
+        for policy in (None, eager):
+            idx = np.array(
+                [i for i, p in enumerate(policies) if p == policy]
+            )
+            alone = BatchSimulator(
+                pop.make_system(policy), speed_kmh=speeds[idx]
+            ).run_metrics(
+                BatchMeasurementSeries(
+                    positions_km=series.positions_km[idx],
+                    distance_km=series.distance_km[idx],
+                    power_dbw=series.power_dbw[idx],
+                    lengths=series.lengths[idx],
+                    layout=series.layout,
+                )
+            )
+            for name in (
+                "handovers_per_ue",
+                "ping_pongs_per_ue",
+                "epochs_per_ue",
+                "dwell_epochs_per_ue",
+                "output_sum_per_ue",
+                "output_max_per_ue",
+            ):
+                np.testing.assert_array_equal(
+                    getattr(mixed, name)[idx], getattr(alone, name)
+                )
+
     def test_mixed_policy_population_shards_bit_identically(self):
         pop = self.two_policy_population()
         assert_metrics_identical(
@@ -521,24 +562,3 @@ class TestMeasurementProfiles:
         batch = pop.traces()
         with pytest.raises(ValueError, match="fading profiles"):
             pop.make_sampler().measure_batch(batch, fading_profiles=[None])
-
-    def test_series_select_is_bit_identical_per_ue(self):
-        pop = make_population(n_ues=5)
-        series = pop.measure()
-        sub = series.select(np.array([3, 1]))
-        np.testing.assert_array_equal(
-            sub.power_dbw[0], series.power_dbw[3]
-        )
-        np.testing.assert_array_equal(
-            sub.positions_km[1], series.positions_km[1]
-        )
-        np.testing.assert_array_equal(
-            sub.lengths, series.lengths[[3, 1]]
-        )
-
-    def test_series_select_validates_indices(self):
-        series = make_population(n_ues=3).measure()
-        with pytest.raises(ValueError):
-            series.select(np.array([0, 7]))
-        with pytest.raises(ValueError):
-            series.select(np.array([], dtype=np.intp))
