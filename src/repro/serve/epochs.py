@@ -22,6 +22,15 @@ Semantics pinned by the ``serve`` test suite:
 Everything is a deterministic function of the call sequence — no
 clocks, no tasks — which is what makes the watermark/timer semantics
 testable without real time.
+
+Cost: next to the rings the scheduler keeps two per-epoch indexes —
+``reporters[e]``, how many *subscribed* UEs hold a report for epoch
+``e``, and ``holders[e]``, every UE (subscribed or not) holding one —
+so ``offer`` and every watermark/pending query are O(1), and a close
+costs O(k log k) in that epoch's k reporters (near-linear, since
+bursts arrive in ascending UE order) instead of a scan of every ring.
+``unsubscribe`` and re-subscribing a UE with buffered reports cost
+O(ring capacity).
 """
 
 from __future__ import annotations
@@ -52,6 +61,13 @@ class EpochScheduler:
         # rings persist past unsubscribe so already-buffered reports
         # still close with their epochs
         self._rings: dict[int, ReportRing] = {}
+        # unsubscribed UEs whose rings still exist (dead-ring cleanup)
+        self._detached: set[int] = set()
+        # epoch -> number of subscribed UEs holding a report for it
+        self._reporters: dict[int, int] = {}
+        # epoch -> UEs (subscribed or not) holding a report for it
+        self._holders: dict[int, list[int]] = {}
+        self._pending = 0
         self.accepted = 0
         self.late = 0
         self.duplicate = 0
@@ -77,8 +93,15 @@ class EpochScheduler:
         if ue in self._subscribed:
             raise ValueError(f"UE {ue} is already subscribed")
         self._subscribed.add(ue)
-        if ue not in self._rings:
+        ring = self._rings.get(ue)
+        if ring is None:
             self._rings[ue] = ReportRing(self.ring_capacity)
+            return
+        # a returning UE's buffered reports count toward the watermark
+        # again
+        self._detached.discard(ue)
+        for epoch in ring.epochs():
+            self._reporters[epoch] += 1
 
     def unsubscribe(self, ue: int) -> bool:
         """Remove ``ue`` from the watermark; its buffered reports stay.
@@ -87,6 +110,9 @@ class EpochScheduler:
         if ue not in self._subscribed:
             return False
         self._subscribed.discard(ue)
+        self._detached.add(ue)
+        for epoch in self._rings[ue].epochs():
+            self._reporters[epoch] -= 1
         return True
 
     # ------------------------------------------------------------------
@@ -97,36 +123,38 @@ class EpochScheduler:
         / ``rejected`` (the last for UEs not currently subscribed) and
         bumps the matching counter.
         """
-        if report.ue not in self._subscribed:
+        ue = report.ue
+        if ue not in self._subscribed:
             self.rejected += 1
             return "rejected"
-        status = self._rings[report.ue].push(report, self.current_epoch)
+        status = self._rings[ue].push(report, self.current_epoch)
         setattr(self, status, getattr(self, status) + 1)
+        if status == "accepted":
+            epoch = report.epoch
+            self._reporters[epoch] = self._reporters.get(epoch, 0) + 1
+            self._holders.setdefault(epoch, []).append(ue)
+            self._pending += 1
         return status
 
     def watermark_reached(self) -> bool:
         """Every currently subscribed UE has reported the current epoch
         (``False`` with no subscribers — an empty fleet never closes
         epochs on its own)."""
-        if not self._subscribed:
-            return False
-        epoch = self.current_epoch
-        return all(self._rings[ue].has(epoch) for ue in self._subscribed)
+        n = len(self._subscribed)
+        return n > 0 and self._reporters.get(self.current_epoch, 0) == n
 
     def has_current_reports(self) -> bool:
         """At least one report is buffered for the current epoch."""
-        epoch = self.current_epoch
-        return any(ring.has(epoch) for ring in self._rings.values())
+        return self.current_epoch in self._holders
 
     def pending_reports(self) -> int:
         """Total buffered reports across all rings (any epoch)."""
-        return sum(ring.pending() for ring in self._rings.values())
+        return self._pending
 
     def current_report_count(self) -> int:
         """How many reports are buffered for the current epoch (the
         count a close would collect right now)."""
-        epoch = self.current_epoch
-        return sum(1 for ring in self._rings.values() if ring.has(epoch))
+        return len(self._holders.get(self.current_epoch, ()))
 
     # ------------------------------------------------------------------
     def close_epoch(self) -> tuple[int, list[Report]]:
@@ -135,21 +163,19 @@ class EpochScheduler:
         advance.  Empty closes are legal (a forced close before anyone
         reported)."""
         epoch = self.current_epoch
-        reports = []
-        for ue in sorted(self._rings):
-            report = self._rings[ue].pop(epoch)
-            if report is not None:
-                reports.append(report)
+        holders = self._holders.pop(epoch, [])
+        self._reporters.pop(epoch, None)
+        holders.sort()
+        rings = self._rings
+        reports = [rings[ue].pop(epoch) for ue in holders]
+        self._pending -= len(reports)
         self.current_epoch = epoch + 1
         # drop rings that are empty and no longer subscribed, so a
         # churning fleet doesn't accumulate dead buffers
-        dead = [
-            ue
-            for ue, ring in self._rings.items()
-            if ue not in self._subscribed and not ring.pending()
-        ]
+        dead = [ue for ue in self._detached if not rings[ue].pending()]
         for ue in dead:
-            del self._rings[ue]
+            del rings[ue]
+            self._detached.discard(ue)
         return epoch, reports
 
     def counters(self) -> dict[str, int]:

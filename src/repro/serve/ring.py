@@ -63,6 +63,10 @@ class ReportRing:
     def has(self, epoch: int) -> bool:
         return epoch in self._slots
 
+    def epochs(self) -> list[int]:
+        """The epochs this ring holds a buffered report for."""
+        return list(self._slots)
+
     def pending(self) -> int:
         """Number of buffered (unprocessed) reports."""
         return len(self._slots)

@@ -4,7 +4,9 @@ These tests drive the pure :class:`EpochScheduler` and the in-process
 :class:`DecisionService` with hand-built report sequences and pin the
 classification rules: out-of-order and ahead-of-window buffering,
 first-wins duplicates, late-after-close drops (counted), forced closes
-with partial fleets, and mid-stream subscribe/unsubscribe churn.
+with partial fleets, and mid-stream subscribe/unsubscribe churn.  A
+hypothesis oracle pins the indexed scheduler against a brute-force
+scan of every ring, and a call-counting test pins its per-report cost.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import asyncio
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import SimulationParameters
 from repro.serve import (
@@ -261,3 +265,184 @@ def test_deadline_close_fires_without_watermark():
             await server.stop()
 
     asyncio.run(run())
+
+
+# ----------------------------------------------------------------------
+# indexed scheduler == brute-force ring scan
+# ----------------------------------------------------------------------
+class ScanScheduler:
+    """Reference scheduler: answers every query by scanning all rings."""
+
+    def __init__(self, ring_capacity: int) -> None:
+        self.ring_capacity = ring_capacity
+        self.current_epoch = 0
+        self.subscribed: set[int] = set()
+        self.rings: dict[int, ReportRing] = {}
+        self.counts = dict.fromkeys(
+            ("accepted", "late", "duplicate", "overflow", "rejected"), 0
+        )
+
+    def subscribe(self, ue: int) -> None:
+        if ue in self.subscribed:
+            raise ValueError(f"UE {ue} is already subscribed")
+        self.subscribed.add(ue)
+        self.rings.setdefault(ue, ReportRing(self.ring_capacity))
+
+    def unsubscribe(self, ue: int) -> bool:
+        if ue not in self.subscribed:
+            return False
+        self.subscribed.discard(ue)
+        return True
+
+    def offer(self, report: Report) -> str:
+        if report.ue not in self.subscribed:
+            status = "rejected"
+        else:
+            status = self.rings[report.ue].push(report, self.current_epoch)
+        self.counts[status] += 1
+        return status
+
+    def watermark_reached(self) -> bool:
+        epoch = self.current_epoch
+        return bool(self.subscribed) and all(
+            self.rings[ue].has(epoch) for ue in self.subscribed
+        )
+
+    def current_report_count(self) -> int:
+        epoch = self.current_epoch
+        return sum(ring.has(epoch) for ring in self.rings.values())
+
+    def has_current_reports(self) -> bool:
+        return self.current_report_count() > 0
+
+    def pending_reports(self) -> int:
+        return sum(ring.pending() for ring in self.rings.values())
+
+    def close_epoch(self) -> tuple[int, list[Report]]:
+        epoch = self.current_epoch
+        reports = [
+            r
+            for ue in sorted(self.rings)
+            if (r := self.rings[ue].pop(epoch)) is not None
+        ]
+        self.current_epoch += 1
+        for ue in [
+            ue
+            for ue, ring in self.rings.items()
+            if ue not in self.subscribed and not ring.pending()
+        ]:
+            del self.rings[ue]
+        return epoch, reports
+
+    def counters(self) -> dict[str, int]:
+        return dict(self.counts)
+
+
+def _observe(sched) -> tuple:
+    return (
+        sched.current_epoch,
+        sched.watermark_reached(),
+        sched.has_current_reports(),
+        sched.current_report_count(),
+        sched.pending_reports(),
+        sched.counters(),
+    )
+
+
+# few UEs so subscribe/offer/unsubscribe/close collide often; offers
+# are weighted up because most interesting states need several
+_UES = st.integers(min_value=0, max_value=3)
+_OFFER = st.tuples(
+    # epoch offset from the current epoch: late, in window, ahead of
+    # the window; half are for the current epoch, so closes collect
+    # several UEs' reports
+    st.just("offer"), _UES, st.one_of(st.just(0), st.integers(-2, 5))
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("subscribe"), _UES),
+        st.tuples(st.just("unsubscribe"), _UES),
+        # leave and rejoin at once, keeping the buffered reports
+        st.tuples(st.just("resubscribe"), _UES),
+        _OFFER,
+        _OFFER,
+        _OFFER,
+        st.tuples(st.just("close")),
+    ),
+    min_size=4,
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=4),
+    initial=st.lists(_UES, unique=True),
+    ops=_OPS,
+)
+def test_indexed_scheduler_matches_ring_scan(capacity, initial, ops):
+    sched = EpochScheduler(ring_capacity=capacity)
+    oracle = ScanScheduler(capacity)
+    ops = [("subscribe", ue) for ue in initial] + ops
+    for serial, (op, *args) in enumerate(ops):
+        if op == "resubscribe":
+            assert sched.unsubscribe(args[0]) == oracle.unsubscribe(args[0])
+            op = "subscribe"
+        if op == "subscribe":
+            outcomes = []
+            for s in (sched, oracle):
+                try:
+                    s.subscribe(args[0])
+                    outcomes.append("ok")
+                except ValueError:
+                    outcomes.append("raised")
+            assert outcomes[0] == outcomes[1]
+        elif op == "unsubscribe":
+            assert sched.unsubscribe(args[0]) == oracle.unsubscribe(args[0])
+        elif op == "offer":
+            ue, offset = args
+            epoch = max(0, sched.current_epoch + offset)
+            # distance_km tags each offer, so first-wins is checked too
+            report = Report(
+                ue=ue,
+                epoch=epoch,
+                position_km=(0.0, 0.0),
+                distance_km=float(serial),
+                power_dbw=np.zeros(1),
+            )
+            assert sched.offer(report) == oracle.offer(report)
+        else:
+            got_epoch, got = sched.close_epoch()
+            want_epoch, want = oracle.close_epoch()
+            assert got_epoch == want_epoch
+            assert [(r.ue, r.distance_km) for r in got] == [
+                (r.ue, r.distance_km) for r in want
+            ]
+        assert _observe(sched) == _observe(oracle)
+
+
+def test_full_epoch_costs_linear_ring_calls(monkeypatch):
+    """One ascending burst from N UEs closes with O(N) ring probes (a
+    per-report scan of every subscribed ring would make ~N^2/2)."""
+    n = 2000
+    calls = {"has": 0, "pop": 0}
+
+    def counting(name):
+        original = getattr(ReportRing, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(ReportRing, "has", counting("has"))
+    monkeypatch.setattr(ReportRing, "pop", counting("pop"))
+    service = DecisionService()
+    for ue in range(n):
+        service.subscribe(ue)
+    for ue in range(n):
+        assert service.submit(make_report(ue, 0)) == "accepted"
+    assert service.stats.epochs_closed == 1
+    assert service.stats.watermark_closes == 1
+    assert calls["has"] + calls["pop"] <= 3 * n, calls
