@@ -320,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "identity too)")
     p_replay.add_argument("--rate", type=float, default=None, metavar="R",
                           help="pace the stream at about R reports/s "
-                               "(default: as fast as the socket "
-                               "drains)")
+                               "(default: epoch by epoch, each as fast "
+                               "as the server ingests it)")
     p_replay.add_argument("--verify", action="store_true",
                           help="re-run the trace through the offline "
                                "batch engine and exit non-zero unless "

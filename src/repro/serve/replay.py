@@ -25,7 +25,7 @@ import numpy as np
 
 from ..sim.metrics import FleetMetrics
 from ..sim.tracefile import FleetTrace
-from .protocol import Report
+from .protocol import Report, encode_frame
 from .server import ServeClient
 from .service import DecisionService
 
@@ -129,10 +129,16 @@ async def replay_to_server(
 ) -> tuple[dict, FleetMetrics]:
     """Stream the trace to a live server over one TCP connection.
 
-    ``rate`` paces the stream at roughly that many reports per second
-    (``None`` = as fast as the socket drains).  Returns the server's
-    final ``(stats, metrics)``; with the JSON codec the metrics come
-    back as the scalar summary dict rather than a FleetMetrics object.
+    ``rate`` paces the stream at roughly that many reports per second.
+    With ``rate=None`` the stream goes in epoch lockstep: each epoch's
+    reports leave as one write, and a ``stats`` round trip waits until
+    the server has ingested them before the next epoch is encoded.
+    Client and server then take turns instead of racing report by
+    report, so a run's cost depends neither on how the two processes
+    happen to interleave nor on a second free CPU.  Returns the
+    server's final ``(stats, metrics)``; with the JSON codec the
+    metrics come back as the scalar summary dict rather than a
+    FleetMetrics object.
     """
     client = ServeClient(host, port, codec=codec)
     await client.connect()
@@ -150,12 +156,18 @@ async def replay_to_server(
         t0 = time.monotonic()
         for k, reports in iter_epoch_reports(trace):
             finished = [r.ue for r in reports if lengths[r.ue] == k + 1]
-            for report in reports:
-                await client.report(report)
-                sent += 1
-                if rate is not None:
-                    target = t0 + sent / rate
-                    delay = target - time.monotonic()
+            if rate is None:
+                await client.send_frames(b"".join(
+                    encode_frame(r.to_payload(), codec) for r in reports
+                ))
+                # requests are serial per connection: the reply means
+                # epoch k is ingested
+                await client.stats()
+            else:
+                for report in reports:
+                    await client.report(report)
+                    sent += 1
+                    delay = t0 + sent / rate - time.monotonic()
                     if delay > 0:
                         await asyncio.sleep(delay)
             for ue in finished:

@@ -293,6 +293,13 @@ class ServeClient:
         """Fire-and-forget; pair with :meth:`stats` as a flush barrier."""
         await self._send(report.to_payload())
 
+    async def send_frames(self, frames: bytes) -> None:
+        """Fire-and-forget frames already built with ``encode_frame``
+        (for example one epoch's reports) as one write."""
+        assert self._writer is not None, "client is not connected"
+        self._writer.write(frames)
+        await self._writer.drain()
+
     async def unsubscribe(self, ue: int) -> dict:
         await self._send({"type": "unsubscribe", "ue": int(ue)})
         return await self._recv()

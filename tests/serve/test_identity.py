@@ -19,6 +19,7 @@ from repro.core import FuzzyHandoverSystem
 from repro.sim import BatchSimulator, offline_reference_metrics
 from repro.serve import (
     DecisionService,
+    ServeClient,
     ServeServer,
     identity_report,
     metrics_identical,
@@ -151,6 +152,34 @@ def test_tcp_identity(trace_n7, codec):
         assert_identical(metrics, reference)
     else:
         assert metrics == reference.as_dict()
+
+
+def test_tcp_replay_is_epoch_lockstep(trace_n7, monkeypatch):
+    """Without a rate, each epoch leaves as one write, and only once the
+    server has closed every epoch before it."""
+    trace = trace_n7
+    service = DecisionService(trace.params)
+    closed_at_send = []
+    send_frames = ServeClient.send_frames
+
+    async def recording_send_frames(self, frames):
+        closed_at_send.append(service.stats.epochs_closed)
+        await send_frames(self, frames)
+
+    monkeypatch.setattr(ServeClient, "send_frames", recording_send_frames)
+
+    async def run():
+        server = ServeServer(service)
+        host, port = await server.start()
+        try:
+            return await replay_to_server(trace, host, port, codec="json")
+        finally:
+            await server.stop()
+
+    stats, metrics = asyncio.run(run())
+    assert closed_at_send == list(range(trace.max_epochs))
+    assert stats["reports_accepted"] == int(np.sum(trace.lengths))
+    assert metrics == offline_reference_metrics(trace).as_dict()
 
 
 def test_tcp_identity_mixed_policy(trace_mixed_policy):
